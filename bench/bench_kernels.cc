@@ -15,9 +15,20 @@
 // where scalar window probes exit after a pair or two. That tradeoff is
 // why --kernel=scalar stays a plan choice.
 //
+// The FilterDominators micro also times the simd backend's previous
+// dims-outer word sweep ("sweep_dominators": two compares and two
+// movemasks per vector per dimension, `gt & ~lt`) against the fused
+// rows-outer mask the simd flavour now runs, on the same tiles.
+//
 // --json writes the full flavour x distribution x d grid (seconds, charged
 // checks, ns per check, checks/s) to a machine-readable file for tracking
 // the kernel ratios across hosts.
+//
+// A fold micro times the MinHash signature min-fold (kernels/min_fold.h)
+// on every backend this host can run, against the branchy 64-bit
+// per-slot loop the signatures used before they narrowed to 32 bits
+// ("scalar64"); its records carry slot updates in `checks`, so
+// `ns_per_check` reads as ns per slot update.
 //
 // A second micro isolates the tile-aware BBS node prune: every tree
 // node's entry lo-corners, captured once from a full walk, are decided
@@ -42,6 +53,9 @@
 #include "common/cpu.h"
 #include "common/timer.h"
 #include "core/dominance.h"
+#include "common/rng.h"
+#include "kernels/min_fold.h"
+#include "kernels/simd_backend.h"
 #include "kernels/tile_view.h"
 #include "minhash/siggen.h"
 #include "rtree/node_corners.h"
@@ -198,6 +212,45 @@ uint64_t CornerTileReplay(const BbsWorkload& w, const TileSet& sky,
   return digest;
 }
 
+// -------------------------------------------------------------------------
+// Signature min-fold micro: the SigGen-IF update pattern — one row's t
+// hashes folded into a pseudo-random dominator column — over a matrix of
+// kFoldColumns columns, t = kSignatureSize.
+
+constexpr size_t kFoldColumns = 4096;
+constexpr size_t kFoldRows = 64;  // distinct hash vectors cycled through
+
+struct FoldWorkload {
+  std::vector<uint32_t> hashes;    // kFoldRows x t
+  std::vector<uint32_t> columns;   // column index per update
+};
+
+FoldWorkload MakeFoldWorkload(size_t updates, uint64_t seed) {
+  Rng rng(seed);
+  FoldWorkload w;
+  w.hashes.resize(kFoldRows * kSignatureSize);
+  for (uint32_t& h : w.hashes) h = static_cast<uint32_t>(rng.Next() >> 33);
+  w.columns.resize(updates);
+  for (uint32_t& c : w.columns) c = static_cast<uint32_t>(rng.NextBounded(kFoldColumns));
+  return w;
+}
+
+// Runs every update through `fold(column_ptr, hash_ptr)`; returns a digest
+// of the final matrix (widened, so 32- and 64-bit variants compare).
+template <typename Slot, typename Fold>
+uint64_t RunFold(const FoldWorkload& w, Slot empty, Fold fold) {
+  std::vector<Slot> matrix(kFoldColumns * kSignatureSize, empty);
+  for (size_t u = 0; u < w.columns.size(); ++u) {
+    fold(matrix.data() + size_t{w.columns[u]} * kSignatureSize,
+         w.hashes.data() + (u % kFoldRows) * kSignatureSize);
+  }
+  uint64_t digest = 0;
+  for (Slot v : matrix) {
+    digest = (digest ^ (v == empty ? kEmptySlot : uint64_t{v})) * 1099511628211ULL;
+  }
+  return digest;
+}
+
 int Run(int argc, char** argv) {
   BenchEnv env;
   std::string json_path = "BENCH_kernels.json";
@@ -217,7 +270,8 @@ int Run(int argc, char** argv) {
   ShapeChecks shape("kernels");
   TablePrinter table({"data", "dims", "n", "m", "sfs_scalar_s", "sfs_tiled_s",
                       "sfs_simd_s", "if_scalar_s", "if_tiled_s", "if_simd_s",
-                      "fd_tiled_s", "fd_simd_s", "fd_x"});
+                      "fd_tiled_s", "fd_sweep_s", "fd_simd_s", "fd_x",
+                      "fused_x"});
   std::vector<JsonRecord> records;
   RowId actual_n = 0;
 
@@ -274,18 +328,38 @@ int Run(int argc, char** argv) {
                            "filter_dominators", fd_s[f],
                            static_cast<uint64_t>(data.size()) * m});
       }
+      // The previous simd FilterDominators on the same backend: the
+      // dims-outer word sweep, `gt & ~lt`, stopping once every row has lt.
+      const kernel_internal::SimdBackend& backend = kernel_internal::ResolvedBackend();
+      uint64_t sweep_digest = 0;
+      const double sweep_s = BestOf([&] {
+        uint64_t digest = 0;
+        for (RowId r = 0; r < data.size(); ++r) {
+          const auto p = data.row(r);
+          for (const Tile& t : sky_tiles.tiles()) {
+            uint64_t lt = 0, gt = 0;
+            backend.sweep(p.data(), t.view(), kernel_internal::SweepStop::kAllLt, &lt, &gt);
+            digest ^= (gt & ~lt) + r;
+          }
+        }
+        sweep_digest = digest;
+      });
+      records.push_back({workload, d, backend.name, "sweep_dominators", sweep_s,
+                         static_cast<uint64_t>(data.size()) * m});
 
       table.Row({workload, TablePrinter::Int(d), TablePrinter::Int(data.size()),
                  TablePrinter::Int(m), TablePrinter::Secs(sfs_s[0]),
                  TablePrinter::Secs(sfs_s[1]), TablePrinter::Secs(sfs_s[2]),
                  TablePrinter::Secs(if_s[0]), TablePrinter::Secs(if_s[1]),
                  TablePrinter::Secs(if_s[2]), TablePrinter::Secs(fd_s[1]),
-                 TablePrinter::Secs(fd_s[2]),
-                 TablePrinter::Num(fd_s[1] / fd_s[2], 2)});
+                 TablePrinter::Secs(sweep_s), TablePrinter::Secs(fd_s[2]),
+                 TablePrinter::Num(fd_s[1] / fd_s[2], 2),
+                 TablePrinter::Num(sweep_s / fd_s[2], 2)});
 
       const std::string tag = workload + " d=" + std::to_string(d);
       shape.Check(tag + ": flavours produce identical dominator masks",
-                  fd_digest[0] == fd_digest[1] && fd_digest[1] == fd_digest[2]);
+                  fd_digest[0] == fd_digest[1] && fd_digest[1] == fd_digest[2] &&
+                      sweep_digest == fd_digest[2]);
 
       // The batched sweeps should pay off wherever the skyline spans tiles
       // and the pass is exhaustive (SigGen-IF); 10% slack for noise.
@@ -305,6 +379,50 @@ int Run(int argc, char** argv) {
                     fd_s[2] * 1.3 <= fd_s[1]);
       }
     }
+  }
+
+  // ---------------------------------------------------------------------
+  // Signature min-fold micro.
+  std::printf("\nSignature min-fold: %zu columns x t=%zu, ns per slot update\n",
+              kFoldColumns, kSignatureSize);
+  TablePrinter fold_table({"backend", "updates", "seconds", "ns_per_slot", "x_scalar64"});
+  const size_t fold_updates =
+      std::max<size_t>(1000, static_cast<size_t>(2'000'000 / env.scale()));
+  const FoldWorkload fold = MakeFoldWorkload(fold_updates, env.seed());
+  const uint64_t slot_updates = fold_updates * kSignatureSize;
+  uint64_t want_digest = 0;
+  const double scalar64_s = BestOf([&] {
+    want_digest = RunFold(fold, kEmptySlot, [](uint64_t* col, const uint32_t* h) {
+      for (size_t i = 0; i < kSignatureSize; ++i) {
+        if (h[i] < col[i]) col[i] = h[i];
+      }
+    });
+  });
+  records.push_back({"fold", 0, "scalar64", "min_fold", scalar64_s, slot_updates});
+  fold_table.Row({"scalar64", TablePrinter::Int(fold_updates), TablePrinter::Secs(scalar64_s),
+                  TablePrinter::Num(scalar64_s * 1e9 / static_cast<double>(slot_updates), 3),
+                  TablePrinter::Num(1.0, 2)});
+  std::vector<const kernel_internal::SimdBackend*> fold_backends{
+      kernel_internal::PortableBackend()};
+  if (ProbeSimdIsa() == SimdIsa::kAvx2 && kernel_internal::Avx2Backend() != nullptr) {
+    fold_backends.push_back(kernel_internal::Avx2Backend());
+  }
+  if (ProbeSimdIsa() == SimdIsa::kNeon && kernel_internal::NeonBackend() != nullptr) {
+    fold_backends.push_back(kernel_internal::NeonBackend());
+  }
+  for (const kernel_internal::SimdBackend* backend : fold_backends) {
+    uint64_t digest = 0;
+    const double secs = BestOf([&] {
+      digest = RunFold(fold, kEmptySlot32, [&](uint32_t* col, const uint32_t* h) {
+        backend->min_fold(col, h, kSignatureSize);
+      });
+    });
+    records.push_back({"fold", 0, backend->name, "min_fold", secs, slot_updates});
+    fold_table.Row({backend->name, TablePrinter::Int(fold_updates), TablePrinter::Secs(secs),
+                    TablePrinter::Num(secs * 1e9 / static_cast<double>(slot_updates), 3),
+                    TablePrinter::Num(scalar64_s / secs, 2)});
+    shape.Check(std::string("fold ") + backend->name + ": same slots as scalar64",
+                digest == want_digest);
   }
   if (!json_path.empty()) WriteJson(json_path, "kernels", actual_n, records);
 

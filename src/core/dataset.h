@@ -8,6 +8,8 @@
 
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <span>
 #include <string>
 #include <vector>
@@ -50,7 +52,11 @@ class DataSet {
   /// Appends a row; `point.size()` must equal dims().
   void Append(std::span<const Coord> point) {
     SKYDIVER_DCHECK_EQ(point.size(), dims_);
-    values_.insert(values_.end(), point.begin(), point.end());
+    // resize + copy rather than a range insert: GCC 12 at -O3 flags the
+    // inlined insert of a short span as an overflow (-Wstringop-overflow).
+    const size_t end = values_.size();
+    values_.resize(end + point.size());
+    std::copy(point.begin(), point.end(), values_.begin() + static_cast<std::ptrdiff_t>(end));
   }
 
   void Append(std::initializer_list<Coord> point) {

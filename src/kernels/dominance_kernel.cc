@@ -4,7 +4,8 @@
 #include <cstring>
 #include <vector>
 
-#include "kernels/simd_sweep.h"
+#include "kernels/min_fold.h"
+#include "kernels/simd_backend.h"
 
 namespace skydiver {
 
@@ -45,6 +46,7 @@ struct KernelOps {
 namespace {
 
 using kernel_internal::KernelOps;
+using kernel_internal::ResolvedBackend;
 using kernel_internal::SweepFn;
 using kernel_internal::SweepStop;
 
@@ -351,47 +353,30 @@ constexpr KernelOps kTiledOps = {
 
 // -------------------------------------------------------------------------
 // Simd flavour: word-mask sweeps behind the runtime ISA dispatch. The
-// sweep backend (AVX2 / NEON / portable) is picked once per process from
-// the cached CPU probe; every entry point derives its mask from the same
-// (lt, gt) words the tiled flavour keeps as bytes, so masks are
-// bit-identical across all three flavours by construction.
+// backend (AVX2 / NEON / portable) is picked once per process from the
+// cached CPU probe; every entry point derives its mask from the same
+// (lt, gt) words the tiled flavour keeps as bytes — FilterDominators from
+// the backend's fused `gt & ~lt` — so masks are bit-identical across all
+// three flavours.
 // -------------------------------------------------------------------------
-
-SweepFn ResolvedSweep() {
-  static const SweepFn fn = [] {
-    switch (DetectSimdIsa()) {
-      case SimdIsa::kAvx2:
-        if (const SweepFn avx2 = kernel_internal::Avx2Sweep()) return avx2;
-        break;
-      case SimdIsa::kNeon:
-        if (const SweepFn neon = kernel_internal::NeonSweep()) return neon;
-        break;
-      case SimdIsa::kPortable:
-      case SimdIsa::kNone:
-        break;
-    }
-    return kernel_internal::PortableSweep();
-  }();
-  return fn;
-}
 
 uint64_t SimdFilterDominated(std::span<const Coord> p, const TileView& tile) {
   uint64_t lt = 0, gt = 0;
-  ResolvedSweep()(p.data(), tile, SweepStop::kAllGt, &lt, &gt);
+  ResolvedBackend().sweep(p.data(), tile, SweepStop::kAllGt, &lt, &gt);
   ChargeTile(tile);
   return lt & ~gt;
 }
 
+// The fused rows-outer mask (simd_backend.h): SigGen-IF's hot call.
 uint64_t SimdFilterDominators(std::span<const Coord> p, const TileView& tile) {
-  uint64_t lt = 0, gt = 0;
-  ResolvedSweep()(p.data(), tile, SweepStop::kAllLt, &lt, &gt);
+  const uint64_t mask = ResolvedBackend().dominators(p.data(), tile);
   ChargeTile(tile);
-  return gt & ~lt;
+  return mask;
 }
 
 uint64_t SimdFilterWeaklyDominated(std::span<const Coord> p, const TileView& tile) {
   uint64_t lt = 0, gt = 0;
-  ResolvedSweep()(p.data(), tile, SweepStop::kAllGt, &lt, &gt);
+  ResolvedBackend().sweep(p.data(), tile, SweepStop::kAllGt, &lt, &gt);
   ChargeTile(tile);
   return tile.FullMask() & ~gt;
 }
@@ -403,14 +388,14 @@ bool SimdAnyDominator(std::span<const Coord> p, const TileView& tile) {
 BlockClassification SimdClassifyBlock(std::span<const Coord> p,
                                       const TileView& tile) {
   uint64_t lt = 0, gt = 0;
-  ResolvedSweep()(p.data(), tile, SweepStop::kAllBoth, &lt, &gt);
+  ResolvedBackend().sweep(p.data(), tile, SweepStop::kAllBoth, &lt, &gt);
   ChargeTile(tile);
   return BlockClassification{lt & ~gt, gt & ~lt};
 }
 
 uint64_t SimdPruneCorners(const TileView& corners, const TileView& skyline) {
   if (corners.rows == 0 || skyline.rows == 0) return 0;
-  const SweepFn sweep = ResolvedSweep();
+  const SweepFn sweep = ResolvedBackend().sweep;
   uint64_t lt = 0, gt = 0;
   sweep(TileCeiling(corners).data(), skyline, SweepStop::kAllLt, &lt, &gt);
   ChargeTile(skyline);  // the ceiling screen (see TiledPruneCorners)
@@ -443,6 +428,34 @@ const KernelOps* Resolve(DomKernel kind) {
 }
 
 }  // namespace
+
+namespace kernel_internal {
+
+const SimdBackend& ResolvedBackend() {
+  static const SimdBackend* const backend = [] {
+    switch (DetectSimdIsa()) {
+      case SimdIsa::kAvx2:
+        if (const SimdBackend* avx2 = Avx2Backend()) return avx2;
+        break;
+      case SimdIsa::kNeon:
+        if (const SimdBackend* neon = NeonBackend()) return neon;
+        break;
+      case SimdIsa::kPortable:
+      case SimdIsa::kNone:
+        break;
+    }
+    return PortableBackend();
+  }();
+  return *backend;
+}
+
+}  // namespace kernel_internal
+
+// kernels/min_fold.h's entry point, beside the resolver it dispatches on.
+void MinFold(std::span<uint32_t> col, std::span<const uint32_t> h) {
+  SKYDIVER_DCHECK_LE(col.size(), h.size());
+  ResolvedBackend().min_fold(col.data(), h.data(), col.size());
+}
 
 DominanceKernel::DominanceKernel(DomKernel kind)
     : kind_(kind), ops_(Resolve(kind)) {}

@@ -30,7 +30,10 @@
 //     instructions accumulating the flags as 64-bit words: AVX2 (4 x
 //     double lanes, movemask) or NEON (2 x double lanes), chosen by the
 //     runtime CPU probe in common/cpu.h, with a portable word-mask
-//     fallback. SKYDIVER_FORCE_ISA overrides the probe for testing.
+//     fallback. FilterDominators (and AnyDominator) use a fused
+//     rows-outer sweep instead: one "not less than" lane mask ANDed across
+//     all dimensions per group of rows, the strict test only for groups
+//     with a candidate. SKYDIVER_FORCE_ISA overrides the probe for testing.
 //
 // All flavours report identical masks; only the dominance-check
 // accounting differs. COUNTING RULE: the batched flavours (kTiled and

@@ -6,6 +6,7 @@
 #include "common/check.h"
 #include "common/prime.h"
 #include "common/rng.h"
+#include "kernels/min_fold.h"
 
 namespace skydiver {
 
@@ -18,7 +19,7 @@ Status SignatureMatrix::SaveToFile(const std::string& path) const {
   if (!writer.ok()) return Status::IoError("cannot open '" + path + "' for writing");
   writer.WriteU64(t_);
   writer.WriteU64(m_);
-  for (uint64_t v : slots_) writer.WriteU64(v);
+  WriteSlots(writer);
   return writer.Finish();
 }
 
@@ -30,13 +31,39 @@ Result<SignatureMatrix> SignatureMatrix::LoadFromFile(const std::string& path) {
     return Status::IoError("'" + path + "': truncated signature header");
   }
   SignatureMatrix sig(t, m);
-  for (auto& v : sig.slots_) {
+  SKYDIVER_RETURN_NOT_OK(sig.ReadSlots(reader, path));
+  SKYDIVER_RETURN_NOT_OK(reader.VerifyChecksum());
+  return sig;
+}
+
+void SignatureMatrix::WriteSlots(BinaryWriter& writer) const {
+  for (uint32_t v : slots_) writer.WriteU64(WidenSlot(v));
+}
+
+Status SignatureMatrix::ReadSlots(BinaryReader& reader, const std::string& path) {
+  for (uint32_t& slot : slots_) {
+    uint64_t v = 0;
     if (!reader.ReadU64(&v)) {
       return Status::IoError("'" + path + "': truncated signature payload");
     }
+    if (v != kEmptySlot && v >= kSlotLimit) {
+      return Status::IoError("'" + path + "': signature slot " + std::to_string(v) +
+                             " is neither empty nor below 2^32");
+    }
+    slot = v == kEmptySlot ? kEmptySlot32 : static_cast<uint32_t>(v);
   }
-  SKYDIVER_RETURN_NOT_OK(reader.VerifyChecksum());
-  return sig;
+  return Status::OK();
+}
+
+void SignatureMatrix::FoldColumn(size_t column, std::span<const uint32_t> h) {
+  SKYDIVER_DCHECK_LT(column, m_);
+  SKYDIVER_DCHECK_EQ(h.size(), t_);
+  MinFold({slots_.data() + column * t_, t_}, h);
+}
+
+void SignatureMatrix::FoldMatrix(const SignatureMatrix& other) {
+  SKYDIVER_DCHECK(other.t_ == t_ && other.m_ == m_);
+  MinFold(slots_, other.slots_);
 }
 
 MinHashFamily MinHashFamily::Create(size_t t, uint64_t universe, uint64_t seed) {
@@ -54,7 +81,35 @@ MinHashFamily MinHashFamily::Create(size_t t, uint64_t universe, uint64_t seed) 
   return family;
 }
 
-double SlotAgreementSimilarity(std::span<const uint64_t> a, std::span<const uint64_t> b) {
+void MinHashFamily::ApplyRangeMin(uint64_t base, uint64_t count,
+                                  std::span<uint32_t> out) const {
+  SKYDIVER_DCHECK_GE(count, 1u);
+  SKYDIVER_DCHECK_EQ(out.size(), a_.size());
+  for (size_t i = 0; i < out.size(); ++i) {
+    uint64_t v = Apply(i, base);
+    uint64_t mn = v;
+    for (uint64_t c = 1; c < count; ++c) {
+      v += a_[i];
+      if (v >= prime_) v -= prime_;
+      if (v < mn) mn = v;
+    }
+    out[i] = static_cast<uint32_t>(mn);
+  }
+}
+
+Status CheckHashFamily(const MinHashFamily& family, uint64_t n) {
+  if (family.size() == 0) return Status::InvalidArgument("hash family is empty");
+  if (family.prime() <= n) {
+    return Status::InvalidArgument("hash family prime must exceed the dataset size");
+  }
+  if (family.prime() >= kSlotLimit) {
+    return Status::InvalidArgument("hash family prime " + std::to_string(family.prime()) +
+                                   " does not fit a 32-bit signature slot");
+  }
+  return Status::OK();
+}
+
+double SlotAgreementSimilarity(std::span<const uint32_t> a, std::span<const uint32_t> b) {
   SKYDIVER_DCHECK_EQ(a.size(), b.size());
   if (a.empty()) return 0.0;
   size_t agree = 0;
@@ -66,8 +121,7 @@ double SlotAgreementSimilarity(std::span<const uint64_t> a, std::span<const uint
 
 double SignatureMatrix::EstimatedSimilarity(size_t c1, size_t c2) const {
   SKYDIVER_DCHECK(c1 < m_ && c2 < m_);
-  return SlotAgreementSimilarity({slots_.data() + c1 * t_, t_},
-                                 {slots_.data() + c2 * t_, t_});
+  return SlotAgreementSimilarity(column(c1), column(c2));
 }
 
 size_t RecommendedSignatureSize(double epsilon, double beta, double delta) {

@@ -14,19 +14,37 @@
 #include <span>
 #include <vector>
 
+#include "common/check.h"
 #include "common/status.h"
 #include "core/dataset.h"
 
 namespace skydiver {
 
-/// Slot value meaning "no row hashed yet" (empty dominated set).
+class BinaryReader;
+class BinaryWriter;
+
+/// Slot value meaning "no row hashed yet" (empty dominated set), as every
+/// reader of a signature sees it (SignatureMatrix::at, file formats, LSH
+/// band keys).
 inline constexpr uint64_t kEmptySlot = std::numeric_limits<uint64_t>::max();
+
+/// Signature slots are stored in 32 bits: every hash value lies below the
+/// family's prime, which must stay below kSlotLimit, so the narrowing is
+/// lossless. The all-ones word — never a hash value, since 2^32 - 1 is not
+/// prime — stores the empty slot.
+inline constexpr uint64_t kSlotLimit = uint64_t{1} << 32;
+inline constexpr uint32_t kEmptySlot32 = std::numeric_limits<uint32_t>::max();
+
+/// 32-bit stored slot -> the 64-bit value readers see.
+inline uint64_t WidenSlot(uint32_t v) {
+  return v == kEmptySlot32 ? kEmptySlot : uint64_t{v};
+}
 
 /// Fraction of agreeing slots between two raw signature columns of equal
 /// length — the MinHash similarity estimate. Shared by SignatureMatrix and
 /// by callers holding signatures outside a matrix (e.g. the streaming
 /// monitor's per-skyline-point vectors). Returns 0 for empty signatures.
-double SlotAgreementSimilarity(std::span<const uint64_t> a, std::span<const uint64_t> b);
+double SlotAgreementSimilarity(std::span<const uint32_t> a, std::span<const uint32_t> b);
 
 /// A family of t linear hash functions h_i(x) = (a_i·x + b_i) mod P.
 ///
@@ -35,16 +53,32 @@ double SlotAgreementSimilarity(std::span<const uint64_t> a, std::span<const uint
 class MinHashFamily {
  public:
   /// Draws a family of `t` functions able to hash row ids in [0, universe).
+  /// Signature generation accepts only families whose prime is below
+  /// kSlotLimit (CheckHashFamily), i.e. a universe below about 4.29e9.
   static MinHashFamily Create(size_t t, uint64_t universe, uint64_t seed);
 
   size_t size() const { return a_.size(); }
   uint64_t prime() const { return prime_; }
 
-  /// h_i(x).
+  /// h_i(x), for x < kSlotLimit. Exact in 64-bit arithmetic while the
+  /// prime is below kSlotLimit: a_i, b_i < P < 2^32, so a_i·x + b_i < 2^64.
   uint64_t Apply(size_t i, uint64_t x) const {
-    return static_cast<uint64_t>(
-        (static_cast<__uint128_t>(a_[i]) * x + b_[i]) % prime_);
+    SKYDIVER_DCHECK_LT(x, kSlotLimit);
+    return (a_[i] * x + b_[i]) % prime_;
   }
+
+  /// h_0(x) .. h_{t-1}(x) into `out` (t entries) as 32-bit slot values;
+  /// requires prime() < kSlotLimit.
+  void ApplyAll(uint64_t x, std::span<uint32_t> out) const {
+    SKYDIVER_DCHECK_EQ(out.size(), a_.size());
+    for (size_t i = 0; i < out.size(); ++i) out[i] = static_cast<uint32_t>(Apply(i, x));
+  }
+
+  /// out[i] = min over x in [base, base + count) of h_i(x), as 32-bit
+  /// slot values (t entries; count >= 1, base + count <= kSlotLimit). The
+  /// bulk update index-based generation applies to a subtree of `count`
+  /// consecutive row ids, walking each h_i incrementally (StepOf).
+  void ApplyRangeMin(uint64_t base, uint64_t count, std::span<uint32_t> out) const;
 
   /// Additive step of h_i: h_i(x+1) = (h_i(x) + a_i) mod P. Exposed so
   /// range updates (index-based generation over `count` consecutive row
@@ -58,24 +92,52 @@ class MinHashFamily {
   uint64_t prime_ = 0;
 };
 
+/// The preconditions every signature generator shares for hashing the
+/// rows of an n-row dataset: a non-empty family whose prime exceeds n
+/// (distinct row ids hash through a bijection) and stays below kSlotLimit
+/// (the 32-bit slots hold every hash value). InvalidArgument otherwise.
+Status CheckHashFamily(const MinHashFamily& family, uint64_t n);
+
 /// Column-major t x m signature matrix: column j is the signature of the
-/// j-th skyline point. Matches the paper's \hat{M}.
+/// j-th skyline point. Matches the paper's \hat{M}. Slots are stored in
+/// 32 bits (kSlotLimit) and widened on read, so at() and the file format
+/// see the same 64-bit values as before the narrowing.
 class SignatureMatrix {
  public:
   SignatureMatrix() = default;
   SignatureMatrix(size_t t, size_t m)
-      : t_(t), m_(m), slots_(t * m, kEmptySlot) {}
+      : t_(t), m_(m), slots_(t * m, kEmptySlot32) {}
 
   size_t signature_size() const { return t_; }
   size_t columns() const { return m_; }
 
-  uint64_t at(size_t column, size_t slot) const { return slots_[column * t_ + slot]; }
-
-  /// slot := min(slot, value) — the MinHash update.
-  void UpdateMin(size_t column, size_t slot, uint64_t value) {
-    uint64_t& cell = slots_[column * t_ + slot];
-    if (value < cell) cell = value;
+  /// Slot value widened to 64 bits (kEmptySlot when empty).
+  uint64_t at(size_t column, size_t slot) const {
+    return WidenSlot(slots_[column * t_ + slot]);
   }
+
+  /// The stored 32-bit slots of one column.
+  std::span<const uint32_t> column(size_t column) const {
+    return {slots_.data() + column * t_, t_};
+  }
+
+  /// slot := min(slot, value) — the MinHash update, one slot at a time
+  /// (the reference the batched folds below are tested against). `value`
+  /// is a hash value below kSlotLimit or kEmptySlot.
+  void UpdateMin(size_t column, size_t slot, uint64_t value) {
+    SKYDIVER_DCHECK(value < kSlotLimit || value == kEmptySlot);
+    const uint32_t v = value == kEmptySlot ? kEmptySlot32 : static_cast<uint32_t>(value);
+    uint32_t& cell = slots_[column * t_ + slot];
+    if (v < cell) cell = v;
+  }
+
+  /// Column j := slot-wise min(column j, h) over all t slots (kernels/
+  /// min_fold.h). `h` holds t 32-bit slot values.
+  void FoldColumn(size_t column, std::span<const uint32_t> h);
+
+  /// Every slot := min(slot, other's slot); `other` has the same shape.
+  /// The merge of per-worker matrices.
+  void FoldMatrix(const SignatureMatrix& other);
 
   /// Estimated Jaccard similarity: fraction of slots where the two
   /// signatures agree.
@@ -88,7 +150,7 @@ class SignatureMatrix {
   }
 
   /// Heap bytes held by the matrix (memory-consumption experiments).
-  size_t MemoryBytes() const { return slots_.size() * sizeof(uint64_t); }
+  size_t MemoryBytes() const { return slots_.size() * sizeof(uint32_t); }
 
   /// Persists the matrix to a checksummed binary file (format SKYDSIG1).
   /// Fingerprinting is the expensive phase; saving the signatures lets a
@@ -98,10 +160,20 @@ class SignatureMatrix {
   /// Loads a matrix written by SaveToFile.
   static Result<SignatureMatrix> LoadFromFile(const std::string& path);
 
+  /// Writes the t·m slots column-major as 64-bit values (at()), the
+  /// on-disk slot encoding of SKYDSIG1 and of session files.
+  void WriteSlots(BinaryWriter& writer) const;
+
+  /// Reads t·m slots written by WriteSlots. IoError (naming `path`) on a
+  /// truncated payload or a stored slot that is neither kEmptySlot nor
+  /// below kSlotLimit — such a value cannot come from a valid family and
+  /// would not survive the 32-bit narrowing.
+  Status ReadSlots(BinaryReader& reader, const std::string& path);
+
  private:
   size_t t_ = 0;
   size_t m_ = 0;
-  std::vector<uint64_t> slots_;
+  std::vector<uint32_t> slots_;
 };
 
 /// Signature size that guarantees an (ε, δ)-approximation of the Jaccard

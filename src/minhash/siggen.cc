@@ -17,10 +17,7 @@ Status ValidateInputs(const DataSet& data, const std::vector<RowId>& skyline,
                       const MinHashFamily& family) {
   if (data.empty()) return Status::InvalidArgument("dataset is empty");
   if (skyline.empty()) return Status::InvalidArgument("skyline set is empty");
-  if (family.size() == 0) return Status::InvalidArgument("hash family is empty");
-  if (family.prime() <= data.size()) {
-    return Status::InvalidArgument("hash family prime must exceed the dataset size");
-  }
+  SKYDIVER_RETURN_NOT_OK(CheckHashFamily(family, data.size()));
   for (RowId s : skyline) {
     if (s >= data.size()) {
       return Status::InvalidArgument("skyline row " + std::to_string(s) +
@@ -54,10 +51,10 @@ Result<SigGenResult> SigGenIF(const DataSet& data, const std::vector<RowId>& sky
   std::vector<bool> is_skyline(n, false);
   for (RowId s : skyline) is_skyline[s] = true;
 
-  // Hash values of the current row, computed once and min-merged into every
-  // dominating column (equivalent to the paper's per-column UpdateMatrix,
-  // which re-evaluates the same t hashes).
-  std::vector<uint64_t> row_hash(t);
+  // Hash values of the current row, computed once and min-folded into
+  // every dominating column (equivalent to the paper's per-column
+  // UpdateMatrix, which re-evaluates the same t hashes).
+  std::vector<uint32_t> row_hash(t);
   if (IsBatched(kernel)) {
     // The skyline columns live in column-major tiles; each tile id holds
     // the signature-column index j, so mask bits map straight back to
@@ -81,10 +78,10 @@ Result<SigGenResult> SigGenIF(const DataSet& data, const std::vector<RowId>& sky
           const size_t j = tile.id(static_cast<size_t>(bit));
           ++out.domination_scores[j];
           if (!hashed) {
-            for (size_t i = 0; i < t; ++i) row_hash[i] = family.Apply(i, r);
+            family.ApplyAll(r, row_hash);
             hashed = true;
           }
-          for (size_t i = 0; i < t; ++i) out.signatures.UpdateMin(j, i, row_hash[i]);
+          out.signatures.FoldColumn(j, row_hash);
         }
       }
     }
@@ -97,10 +94,10 @@ Result<SigGenResult> SigGenIF(const DataSet& data, const std::vector<RowId>& sky
         if (!Dominates(data.row(skyline[j]), point)) continue;
         ++out.domination_scores[j];
         if (!hashed) {
-          for (size_t i = 0; i < t; ++i) row_hash[i] = family.Apply(i, r);
+          family.ApplyAll(r, row_hash);
           hashed = true;
         }
-        for (size_t i = 0; i < t; ++i) out.signatures.UpdateMin(j, i, row_hash[i]);
+        out.signatures.FoldColumn(j, row_hash);
       }
     }
   }
@@ -143,7 +140,7 @@ Result<SigGenResult> SigGenIBImpl(const DataSet& data, const std::vector<RowId>&
   uint64_t rowcount = 0;
 
   // Scratch: per-hash minimum over the id range of a bulk update.
-  std::vector<uint64_t> range_min(t);
+  std::vector<uint32_t> range_min(t);
   std::vector<size_t> full;  // columns fully dominating the current entry
 
   // Applies `count` consecutive row ids to all columns in `full`. The
@@ -155,21 +152,10 @@ Result<SigGenResult> SigGenIBImpl(const DataSet& data, const std::vector<RowId>&
       rowcount += count;
       return;
     }
-    for (size_t i = 0; i < t; ++i) {
-      const uint64_t step = family.StepOf(i);
-      const uint64_t prime = family.prime();
-      uint64_t v = family.Apply(i, rowcount);
-      uint64_t mn = v;
-      for (uint64_t c = 1; c < count; ++c) {
-        v += step;
-        if (v >= prime) v -= prime;
-        if (v < mn) mn = v;
-      }
-      range_min[i] = mn;
-    }
+    family.ApplyRangeMin(rowcount, count, range_min);
     for (size_t j : full) {
       out.domination_scores[j] += count;
-      for (size_t i = 0; i < t; ++i) out.signatures.UpdateMin(j, i, range_min[i]);
+      out.signatures.FoldColumn(j, range_min);
     }
     rowcount += count;
   };

@@ -121,9 +121,7 @@ Result<SigGenResult> ParallelSigGenIF(const DataSet& data,
                                       DomKernel kernel, size_t morsel_rows) {
   if (data.empty()) return Status::InvalidArgument("dataset is empty");
   if (skyline.empty()) return Status::InvalidArgument("skyline set is empty");
-  if (family.prime() <= data.size()) {
-    return Status::InvalidArgument("hash family prime must exceed the dataset size");
-  }
+  SKYDIVER_RETURN_NOT_OK(CheckHashFamily(family, data.size()));
   const size_t t = family.size();
   const size_t m = skyline.size();
   const RowId n = data.size();
@@ -163,7 +161,7 @@ Result<SigGenResult> ParallelSigGenIF(const DataSet& data,
   RunMorsels(pool, queue, [&](const MorselQueue::Claim& c) {
     SignatureMatrix& sig = slot_sig[c.slot];
     std::vector<uint64_t>& scores = slot_scores[c.slot];
-    std::vector<uint64_t> row_hash(t);
+    std::vector<uint32_t> row_hash(t);
     const DominanceKernel batch(kernel);
     for (uint64_t r = c.begin; r < c.end; ++r) {
       if (is_skyline[r]) continue;
@@ -178,10 +176,10 @@ Result<SigGenResult> ParallelSigGenIF(const DataSet& data,
             const size_t j = tile.id(static_cast<size_t>(bit));
             ++scores[j];
             if (!hashed) {
-              for (size_t i = 0; i < t; ++i) row_hash[i] = family.Apply(i, r);
+              family.ApplyAll(r, row_hash);
               hashed = true;
             }
-            for (size_t i = 0; i < t; ++i) sig.UpdateMin(j, i, row_hash[i]);
+            sig.FoldColumn(j, row_hash);
           }
         }
         continue;
@@ -190,10 +188,10 @@ Result<SigGenResult> ParallelSigGenIF(const DataSet& data,
         if (!Dominates(data.row(skyline[j]), point)) continue;
         ++scores[j];
         if (!hashed) {
-          for (size_t i = 0; i < t; ++i) row_hash[i] = family.Apply(i, r);
+          family.ApplyAll(r, row_hash);
           hashed = true;
         }
-        for (size_t i = 0; i < t; ++i) sig.UpdateMin(j, i, row_hash[i]);
+        sig.FoldColumn(j, row_hash);
       }
     }
   });
@@ -207,12 +205,8 @@ Result<SigGenResult> ParallelSigGenIF(const DataSet& data,
   out.signatures = SignatureMatrix(t, m);
   out.domination_scores.assign(m, 0);
   for (size_t s = 0; s < slots; ++s) {
-    for (size_t j = 0; j < m; ++j) {
-      out.domination_scores[j] += slot_scores[s][j];
-      for (size_t i = 0; i < t; ++i) {
-        out.signatures.UpdateMin(j, i, slot_sig[s].at(j, i));
-      }
-    }
+    for (size_t j = 0; j < m; ++j) out.domination_scores[j] += slot_scores[s][j];
+    out.signatures.FoldMatrix(slot_sig[s]);
   }
   const uint64_t pages = SequentialScanPages(n, data.dims(), 4096);
   out.io.page_reads = pages;
@@ -248,24 +242,12 @@ struct IbWorker {
 void IbRangeUpdate(const MinHashFamily& family, uint64_t base, uint64_t count,
                    const std::vector<size_t>& full, IbWorker* worker) {
   if (full.empty() || count == 0) return;
-  const size_t t = family.size();
-  const uint64_t prime = family.prime();
-  thread_local std::vector<uint64_t> range_min;
-  range_min.resize(t);
-  for (size_t i = 0; i < t; ++i) {
-    const uint64_t step = family.StepOf(i);
-    uint64_t v = family.Apply(i, base);
-    uint64_t mn = v;
-    for (uint64_t c = 1; c < count; ++c) {
-      v += step;
-      if (v >= prime) v -= prime;
-      if (v < mn) mn = v;
-    }
-    range_min[i] = mn;
-  }
+  thread_local std::vector<uint32_t> range_min;
+  range_min.resize(family.size());
+  family.ApplyRangeMin(base, count, range_min);
   for (size_t j : full) {
     worker->scores[j] += count;
-    for (size_t i = 0; i < t; ++i) worker->signatures.UpdateMin(j, i, range_min[i]);
+    worker->signatures.FoldColumn(j, range_min);
   }
 }
 
@@ -316,9 +298,7 @@ Result<SigGenResult> ParallelSigGenIB(const DataSet& data,
                                       ThreadPool& pool) {
   if (data.empty()) return Status::InvalidArgument("dataset is empty");
   if (skyline.empty()) return Status::InvalidArgument("skyline set is empty");
-  if (family.prime() <= data.size()) {
-    return Status::InvalidArgument("hash family prime must exceed the dataset size");
-  }
+  SKYDIVER_RETURN_NOT_OK(CheckHashFamily(family, data.size()));
   if (tree.dims() != data.dims() || tree.size() != data.size()) {
     return Status::InvalidArgument("R-tree does not index the given dataset");
   }
@@ -411,12 +391,8 @@ Result<SigGenResult> ParallelSigGenIB(const DataSet& data,
   out.signatures = SignatureMatrix(t, m);
   out.domination_scores.assign(m, 0);
   for (const IbWorker& worker : workers) {
-    for (size_t j = 0; j < m; ++j) {
-      out.domination_scores[j] += worker.scores[j];
-      for (size_t i = 0; i < t; ++i) {
-        out.signatures.UpdateMin(j, i, worker.signatures.at(j, i));
-      }
-    }
+    for (size_t j = 0; j < m; ++j) out.domination_scores[j] += worker.scores[j];
+    out.signatures.FoldMatrix(worker.signatures);
   }
   uint64_t pages = 0;
   for (const IbWorker& worker : workers) pages += worker.pages_read;

@@ -89,9 +89,7 @@ Result<MixedSigGenResult> MixedSigGenIF(const DataSet& data, const MixedSchema& 
                                         const MinHashFamily& family) {
   SKYDIVER_RETURN_NOT_OK(schema.Validate(data));
   if (skyline.empty()) return Status::InvalidArgument("skyline set is empty");
-  if (family.prime() <= data.size()) {
-    return Status::InvalidArgument("hash family prime must exceed the dataset size");
-  }
+  SKYDIVER_RETURN_NOT_OK(CheckHashFamily(family, data.size()));
   const size_t t = family.size();
   const size_t m = skyline.size();
   const RowId n = data.size();
@@ -103,7 +101,7 @@ Result<MixedSigGenResult> MixedSigGenIF(const DataSet& data, const MixedSchema& 
     if (s >= n) return Status::InvalidArgument("skyline row out of range");
     is_skyline[s] = true;
   }
-  std::vector<uint64_t> row_hash(t);
+  std::vector<uint32_t> row_hash(t);
   for (RowId r = 0; r < n; ++r) {
     if (is_skyline[r]) continue;
     const auto point = data.row(r);
@@ -112,10 +110,10 @@ Result<MixedSigGenResult> MixedSigGenIF(const DataSet& data, const MixedSchema& 
       if (!MixedDominates(data.row(skyline[j]), point, schema)) continue;
       ++out.domination_scores[j];
       if (!hashed) {
-        for (size_t i = 0; i < t; ++i) row_hash[i] = family.Apply(i, r);
+        family.ApplyAll(r, row_hash);
         hashed = true;
       }
-      for (size_t i = 0; i < t; ++i) out.signatures.UpdateMin(j, i, row_hash[i]);
+      out.signatures.FoldColumn(j, row_hash);
     }
   }
   const uint64_t pages = SequentialScanPages(n, data.dims(), 4096);

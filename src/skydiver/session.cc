@@ -68,11 +68,7 @@ Status SkyDiverSession::SaveToFile(const std::string& path) const {
   for (RowId r : skyline) writer.WriteU32(r);
   for (uint64_t s : scores) writer.WriteU64(s);
   writer.WriteU64(signatures.signature_size());
-  for (size_t j = 0; j < signatures.columns(); ++j) {
-    for (size_t i = 0; i < signatures.signature_size(); ++i) {
-      writer.WriteU64(signatures.at(j, i));
-    }
-  }
+  signatures.WriteSlots(writer);
   return writer.Finish();
 }
 
@@ -95,15 +91,7 @@ Result<SkyDiverSession> SkyDiverSession::LoadFromFile(const std::string& path) {
   uint64_t t = 0;
   if (!reader.ReadU64(&t)) return Status::IoError("'" + path + "': truncated header");
   SignatureMatrix signatures(t, m);
-  for (size_t j = 0; j < m; ++j) {
-    for (size_t i = 0; i < t; ++i) {
-      uint64_t v = 0;
-      if (!reader.ReadU64(&v)) {
-        return Status::IoError("'" + path + "': truncated signatures");
-      }
-      signatures.UpdateMin(j, i, v);
-    }
-  }
+  SKYDIVER_RETURN_NOT_OK(signatures.ReadSlots(reader, path));
   SKYDIVER_RETURN_NOT_OK(reader.VerifyChecksum());
   auto snapshot = SkySnapshot::Adopt(std::move(skyline), std::move(scores),
                                      std::move(signatures), seed);

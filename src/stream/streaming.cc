@@ -5,6 +5,7 @@
 
 #include "core/dominance.h"
 #include "diversify/dispersion.h"
+#include "kernels/min_fold.h"
 #include "parallel/morsel.h"
 
 namespace skydiver {
@@ -32,14 +33,12 @@ void StreamingSkyDiver::UpdateSignature(SkylineEntry* entry, RowId row) {
   // SigGen-IF applies per scanned row.
   if (hash_cache_row_ != row) {
     hash_cache_.resize(t_);
-    for (size_t i = 0; i < t_; ++i) hash_cache_[i] = family_.Apply(i, row);
+    family_.ApplyAll(row, hash_cache_);
     hash_cache_row_ = row;
   }
   ++entry->domination_score;
   stats_.signature_updates += t_;
-  for (size_t i = 0; i < t_; ++i) {
-    if (hash_cache_[i] < entry->signature[i]) entry->signature[i] = hash_cache_[i];
-  }
+  MinFold(entry->signature, hash_cache_);
 }
 
 Status StreamingSkyDiver::Insert(std::span<const Coord> point) {
@@ -47,6 +46,7 @@ Status StreamingSkyDiver::Insert(std::span<const Coord> point) {
     return Status::InvalidArgument("point has " + std::to_string(point.size()) +
                                    " dims, expected " + std::to_string(dims_));
   }
+  SKYDIVER_RETURN_NOT_OK(CheckHashFamily(family_, max_points_));
   if (data_.size() >= max_points_) {
     return Status::OutOfRange("stream exceeded the configured maximum of " +
                               std::to_string(max_points_) + " points");
@@ -104,7 +104,7 @@ Status StreamingSkyDiver::Insert(std::span<const Coord> point) {
     if (pool_ != nullptr && row >= kDefaultMorselRows) {
       entry = MorselStoreScan(point, row);
     } else {
-      entry.signature.assign(t_, kEmptySlot);
+      entry.signature.assign(t_, kEmptySlot32);
       Tile scan(dims_);
       auto flush = [&] {
         uint64_t mask = batch.FilterDominated(point, scan.view());
@@ -154,7 +154,7 @@ Status StreamingSkyDiver::Insert(std::span<const Coord> point) {
     }
   }
   SkylineEntry entry;
-  entry.signature.assign(t_, kEmptySlot);
+  entry.signature.assign(t_, kEmptySlot32);
   for (RowId r = 0; r < row; ++r) {
     if (skyline_.count(r)) continue;  // current skyline points are in no Γ
     if (Dominates(point, data_.row(r))) UpdateSignature(&entry, r);
@@ -181,7 +181,7 @@ StreamingSkyDiver::SkylineEntry StreamingSkyDiver::MorselStoreScan(
   // to the serial scan because MinHash minima and sums are
   // associative/commutative).
   struct ScanSlot {
-    std::vector<uint64_t> sig;
+    std::vector<uint32_t> sig;
     uint64_t dominated = 0;
   };
   (void)pool_->HarvestDominanceChecks();  // drop leftovers from earlier pool users
@@ -190,20 +190,18 @@ StreamingSkyDiver::SkylineEntry StreamingSkyDiver::MorselStoreScan(
   const DomKernel kernel = kernel_;
   RunMorsels(*pool_, queue, [&](const MorselQueue::Claim& c) {
     ScanSlot& slot = slots[c.slot];
-    slot.sig.assign(t_, kEmptySlot);
+    slot.sig.assign(t_, kEmptySlot32);
     const DominanceKernel batch(kernel);
+    std::vector<uint32_t> row_hash(t_);
     Tile scan(dims_);
     auto flush = [&] {
       uint64_t mask = batch.FilterDominated(point, scan.view());
       while (mask != 0) {
         const int bit = std::countr_zero(mask);
         mask &= mask - 1;
-        const RowId r = scan.id(static_cast<size_t>(bit));
         ++slot.dominated;
-        for (size_t i = 0; i < t_; ++i) {
-          const uint64_t h = family_.Apply(i, r);
-          if (h < slot.sig[i]) slot.sig[i] = h;
-        }
+        family_.ApplyAll(scan.id(static_cast<size_t>(bit)), row_hash);
+        MinFold(slot.sig, row_hash);
       }
       scan.Clear();
     };
@@ -222,12 +220,10 @@ StreamingSkyDiver::SkylineEntry StreamingSkyDiver::MorselStoreScan(
   DominanceCounter::TiledCount() += h.tiled;
 
   SkylineEntry entry;
-  entry.signature.assign(t_, kEmptySlot);
+  entry.signature.assign(t_, kEmptySlot32);
   for (const ScanSlot& slot : slots) {
     entry.domination_score += slot.dominated;
-    for (size_t i = 0; i < t_; ++i) {
-      if (slot.sig[i] < entry.signature[i]) entry.signature[i] = slot.sig[i];
-    }
+    MinFold(entry.signature, slot.sig);
   }
   stats_.signature_updates += t_ * entry.domination_score;
   return entry;
@@ -263,7 +259,10 @@ Result<std::vector<uint64_t>> StreamingSkyDiver::Signature(RowId skyline_row) co
     return Status::NotFound("row " + std::to_string(skyline_row) +
                             " is not on the current skyline");
   }
-  return it->second.signature;
+  const std::vector<uint32_t>& slots = it->second.signature;
+  std::vector<uint64_t> out(slots.size());
+  std::transform(slots.begin(), slots.end(), out.begin(), WidenSlot);
+  return out;
 }
 
 Result<StreamFingerprints> StreamingSkyDiver::ExportFingerprints() const {
@@ -280,9 +279,7 @@ Result<StreamFingerprints> StreamingSkyDiver::ExportFingerprints() const {
   for (size_t j = 0; j < m; ++j) {
     const SkylineEntry& entry = skyline_.at(out.skyline[j]);
     out.domination_scores.push_back(entry.domination_score);
-    for (size_t i = 0; i < t_; ++i) {
-      out.signatures.UpdateMin(j, i, entry.signature[i]);
-    }
+    out.signatures.FoldColumn(j, entry.signature);
   }
   return out;
 }

@@ -70,7 +70,9 @@ struct StreamFingerprints {
 class StreamingSkyDiver {
  public:
   /// `max_points` bounds the stream length (the hash family's prime must
-  /// exceed every row id); exceeding it makes Insert fail. Under a batched
+  /// exceed every row id); exceeding it makes Insert fail. It must also
+  /// keep that prime below kSlotLimit (minhash/minhash.h) — otherwise
+  /// every Insert fails with InvalidArgument. Under a batched
   /// kernel (tiled or simd) the skyline is mirrored in column-major tiles
   /// and every arrival is classified one tile sweep at a time (the store
   /// scan after a skyline insertion is tiled on the fly); maintained state
@@ -120,7 +122,8 @@ class StreamingSkyDiver {
   /// snapshot exported from this stream).
   uint64_t seed() const { return seed_; }
 
-  /// Signature column of a current skyline row (for tests/inspection).
+  /// Signature column of a current skyline row (for tests/inspection),
+  /// widened like SignatureMatrix::at (kEmptySlot for an empty slot).
   [[nodiscard]] Result<std::vector<uint64_t>> Signature(RowId skyline_row) const;
 
   /// Copies the current skyline's fingerprints (rows ascending, signatures
@@ -133,7 +136,7 @@ class StreamingSkyDiver {
 
  private:
   struct SkylineEntry {
-    std::vector<uint64_t> signature;  // t slots, kEmptySlot when Γ empty
+    std::vector<uint32_t> signature;  // t slots, kEmptySlot32 when Γ empty
     uint64_t domination_score = 0;
   };
 
@@ -183,7 +186,7 @@ class StreamingSkyDiver {
   StreamingStats stats_ SKYDIVER_GUARDED_BY(monitor_mutex_);
   // Per-row hash memo: a row is folded into one signature per dominator;
   // hash it only once.
-  std::vector<uint64_t> hash_cache_ SKYDIVER_GUARDED_BY(monitor_mutex_);
+  std::vector<uint32_t> hash_cache_ SKYDIVER_GUARDED_BY(monitor_mutex_);
   RowId hash_cache_row_ SKYDIVER_GUARDED_BY(monitor_mutex_) = kInvalidRowId;
 };
 

@@ -22,7 +22,10 @@
 #include "engine/query_context.h"
 #include "engine/planner.h"
 #include "kernels/dominance_kernel.h"
+#include "kernels/min_fold.h"
+#include "kernels/simd_backend.h"
 #include "kernels/tile_view.h"
+#include "minhash/minhash.h"
 #include "minhash/siggen.h"
 #include "parallel/parallel_ops.h"
 #include "parallel/thread_pool.h"
@@ -320,6 +323,111 @@ TEST(DominanceKernelTest, FlavoursProduceIdenticalMasks) {
         ASSERT_EQ(cls.dominators, want_dominators)
             << "dims=" << dims << " rows=" << rows;
       }
+    }
+  }
+}
+
+// The simd backends compiled into this build whose ISA the host has (the
+// raw probe, so a forced override does not hide a backend from the
+// differential tests below). Portable is always present.
+std::vector<const kernel_internal::SimdBackend*> RunnableBackends() {
+  std::vector<const kernel_internal::SimdBackend*> out{kernel_internal::PortableBackend()};
+  if (ProbeSimdIsa() == SimdIsa::kAvx2 && kernel_internal::Avx2Backend() != nullptr) {
+    out.push_back(kernel_internal::Avx2Backend());
+  }
+  if (ProbeSimdIsa() == SimdIsa::kNeon && kernel_internal::NeonBackend() != nullptr) {
+    out.push_back(kernel_internal::NeonBackend());
+  }
+  return out;
+}
+
+// The fused FilterDominators of every runnable backend against the scalar
+// reference: the specialised (d = 2..8) and generic (d = 1, 9..12) paths,
+// every tile occupancy 1..64, ties, duplicates of the probe, and +-max.
+TEST(DominanceKernelTest, FusedDominatorsMatchScalarOnEveryBackend) {
+  constexpr Coord kMax = std::numeric_limits<double>::max();
+  constexpr Coord kPalette[] = {-kMax, -2.0, 0.0, 0.5, 1.0, 1.5, 2.0, kMax};
+  constexpr size_t kPaletteSize = sizeof(kPalette) / sizeof(kPalette[0]);
+  Rng rng(20261020);
+  const DominanceKernel scalar(DomKernel::kScalar);
+  const DominanceKernel simd(DomKernel::kSimd);
+  const auto backends = RunnableBackends();
+
+  for (Dim dims = 1; dims <= 12; ++dims) {
+    std::vector<Coord> probe(dims);
+    std::vector<Coord> point(dims);
+    for (size_t rows = 1; rows <= kTileRows; ++rows) {
+      for (int iter = 0; iter < 3; ++iter) {
+        for (Dim d = 0; d < dims; ++d) {
+          probe[d] = kPalette[rng.NextInt(0, kPaletteSize - 1)];
+        }
+        Tile tile(dims);
+        for (size_t r = 0; r < rows; ++r) {
+          if (r % 5 == 2) {
+            tile.PushRow(static_cast<RowId>(r), probe);  // ties everywhere
+            continue;
+          }
+          for (Dim d = 0; d < dims; ++d) {
+            // Mostly at or just below the probe, so dominators are common.
+            const int roll = static_cast<int>(rng.NextInt(0, 5));
+            point[d] = roll == 0   ? kPalette[rng.NextInt(0, kPaletteSize - 1)]
+                       : roll <= 2 ? probe[d]
+                                   : probe[d] - 1.0;
+          }
+          tile.PushRow(static_cast<RowId>(r), point);
+        }
+        const TileView view = tile.view();
+        const uint64_t want = scalar.FilterDominators(probe, view);
+        for (const auto* backend : backends) {
+          ASSERT_EQ(backend->dominators(probe.data(), view), want)
+              << backend->name << " dims=" << dims << " rows=" << rows;
+        }
+        ASSERT_EQ(simd.FilterDominators(probe, view), want)
+            << "dims=" << dims << " rows=" << rows;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Signature min-fold: every runnable backend == slot-by-slot UpdateMin.
+
+TEST(MinFoldTest, BackendsMatchScalarUpdateMin) {
+  Rng rng(91);
+  const auto backends = RunnableBackends();
+  for (const size_t t : {size_t{1}, size_t{7}, size_t{8}, size_t{9}, size_t{100},
+                         size_t{257}}) {
+    for (size_t offset = 0; offset < 4; ++offset) {
+      // Columns start `offset` slots into a buffer, so vector loads see
+      // every alignment; a guard slot on either side must stay untouched.
+      std::vector<uint32_t> col0(t), h(t);
+      for (size_t i = 0; i < t; ++i) {
+        const int roll = static_cast<int>(rng.NextInt(0, 4));
+        col0[i] = roll == 0 ? kEmptySlot32 : static_cast<uint32_t>(rng.Next() >> 33);
+        h[i] = roll == 1 ? kEmptySlot32 : static_cast<uint32_t>(rng.Next() >> 33);
+      }
+      SignatureMatrix want(t, 1);
+      for (size_t i = 0; i < t; ++i) {
+        want.UpdateMin(0, i, WidenSlot(col0[i]));
+        want.UpdateMin(0, i, WidenSlot(h[i]));
+      }
+      for (const auto* backend : backends) {
+        std::vector<uint32_t> buf(t + offset + 1, 0xABCDu);
+        std::vector<uint32_t> hbuf(t + offset + 1, 0u);
+        std::copy(col0.begin(), col0.end(), buf.begin() + static_cast<long>(offset));
+        std::copy(h.begin(), h.end(), hbuf.begin() + static_cast<long>(offset));
+        backend->min_fold(buf.data() + offset, hbuf.data() + offset, t);
+        for (size_t i = 0; i < offset; ++i) ASSERT_EQ(buf[i], 0xABCDu) << backend->name;
+        ASSERT_EQ(buf[offset + t], 0xABCDu) << backend->name;
+        for (size_t i = 0; i < t; ++i) {
+          ASSERT_EQ(WidenSlot(buf[offset + i]), want.at(0, i))
+              << backend->name << " t=" << t << " offset=" << offset << " i=" << i;
+        }
+      }
+      // The public entry point (resolved backend) agrees too.
+      std::vector<uint32_t> via_public = col0;
+      MinFold(via_public, h);
+      for (size_t i = 0; i < t; ++i) ASSERT_EQ(WidenSlot(via_public[i]), want.at(0, i));
     }
   }
 }

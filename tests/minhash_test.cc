@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -11,8 +12,11 @@
 #include "datagen/generators.h"
 #include "minhash/minhash.h"
 #include "minhash/siggen.h"
+#include "parallel/parallel_ops.h"
+#include "parallel/thread_pool.h"
 #include "rtree/rtree.h"
 #include "skyline/skyline.h"
+#include "stream/streaming.h"
 
 namespace skydiver {
 namespace {
@@ -28,6 +32,37 @@ TEST(MinHashFamilyTest, HashesStayBelowPrime) {
   for (size_t i = 0; i < family.size(); ++i) {
     for (uint64_t x : {0ULL, 1ULL, 250ULL, 499ULL}) {
       EXPECT_LT(family.Apply(i, x), family.prime());
+    }
+  }
+}
+
+TEST(MinHashFamilyTest, SixtyFourBitApplyMatches128BitReference) {
+  // The widest family signature generation accepts: prime just below 2^32.
+  const auto family = MinHashFamily::Create(32, 4294967000ULL, 5);
+  ASSERT_LT(family.prime(), kSlotLimit);
+  const uint64_t p = family.prime();
+  std::vector<uint32_t> all(family.size());
+  for (const uint64_t x : {uint64_t{0}, uint64_t{1}, uint64_t{12345}, p / 2, p - 2, p - 1}) {
+    family.ApplyAll(x, all);
+    for (size_t i = 0; i < family.size(); ++i) {
+      // b_i = h_i(0) and a_i = StepOf(i) recover the family's parameters.
+      const __uint128_t want =
+          (static_cast<__uint128_t>(family.StepOf(i)) * x + family.Apply(i, 0)) % p;
+      ASSERT_EQ(family.Apply(i, x), static_cast<uint64_t>(want)) << "x=" << x;
+      ASSERT_EQ(all[i], static_cast<uint64_t>(want)) << "x=" << x;
+    }
+  }
+}
+
+TEST(MinHashFamilyTest, ApplyRangeMinMatchesPointwiseMinimum) {
+  const auto family = MinHashFamily::Create(12, 5000, 6);
+  std::vector<uint32_t> range(family.size());
+  for (const uint64_t count : {uint64_t{1}, uint64_t{2}, uint64_t{37}, uint64_t{400}}) {
+    family.ApplyRangeMin(100, count, range);
+    for (size_t i = 0; i < family.size(); ++i) {
+      uint64_t want = kEmptySlot;
+      for (uint64_t x = 100; x < 100 + count; ++x) want = std::min(want, family.Apply(i, x));
+      EXPECT_EQ(range[i], want) << "count=" << count << " i=" << i;
     }
   }
 }
@@ -71,8 +106,45 @@ TEST(SignatureMatrixTest, UpdateMinAndEstimate) {
 }
 
 TEST(SignatureMatrixTest, MemoryBytes) {
+  // Slots are stored in 32 bits (kSlotLimit).
   SignatureMatrix sig(100, 50);
-  EXPECT_EQ(sig.MemoryBytes(), 100u * 50u * sizeof(uint64_t));
+  EXPECT_EQ(sig.MemoryBytes(), 100u * 50u * sizeof(uint32_t));
+}
+
+TEST(SignatureMatrixTest, NarrowSlotsWidenOnRead) {
+  // The largest prime below 2^32 bounds every hash value; the empty slot
+  // reads back as the 64-bit kEmptySlot, not as 2^32 - 1.
+  constexpr uint64_t kLargestHash = 4294967291ULL - 1;
+  SignatureMatrix sig(3, 1);
+  sig.UpdateMin(0, 0, kLargestHash);
+  sig.UpdateMin(0, 1, 0);
+  EXPECT_EQ(sig.at(0, 0), kLargestHash);
+  EXPECT_EQ(sig.at(0, 1), 0u);
+  EXPECT_EQ(sig.at(0, 2), kEmptySlot);
+  EXPECT_EQ(sig.column(0)[2], kEmptySlot32);
+  EXPECT_EQ(WidenSlot(kEmptySlot32), kEmptySlot);
+}
+
+TEST(SignatureMatrixTest, FoldColumnAndFoldMatrixAreSlotwiseMin) {
+  SignatureMatrix a(3, 2);
+  SignatureMatrix b(3, 2);
+  const std::vector<uint32_t> h0 = {5, kEmptySlot32, 9};
+  const std::vector<uint32_t> h1 = {7, 2, 1};
+  a.FoldColumn(0, h0);
+  a.FoldColumn(0, h1);
+  EXPECT_EQ(a.at(0, 0), 5u);
+  EXPECT_EQ(a.at(0, 1), 2u);
+  EXPECT_EQ(a.at(0, 2), 1u);
+  EXPECT_EQ(a.at(1, 0), kEmptySlot);  // other column untouched
+  b.FoldColumn(1, h0);
+  b.FoldColumn(0, h1);
+  a.FoldMatrix(b);
+  const uint64_t want0[] = {5, 2, 1};
+  const uint64_t want1[] = {5, kEmptySlot, 9};
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(a.at(0, i), want0[i]);
+    EXPECT_EQ(a.at(1, i), want1[i]);
+  }
 }
 
 TEST(SignatureMatrixTest, RecommendedSizeGrowsWithTighterError) {
@@ -128,6 +200,33 @@ TEST(SigGenTest, ValidatesInputs) {
   const auto tiny_family = MinHashFamily::Create(10, 1, 1);
   // Prime (= 3) does not exceed the dataset size: rejected.
   EXPECT_TRUE(SigGenIF(f.data, f.skyline, tiny_family).status().IsInvalidArgument());
+}
+
+TEST(SigGenTest, RejectsFamiliesWiderThanSignatureSlots) {
+  // A prime above 2^32 exceeds any tiny dataset but does not fit a 32-bit
+  // slot: every generator must refuse it instead of truncating hashes.
+  const auto f = SigGenFixture::Make(WorkloadKind::kIndependent, 200, 3, 7);
+  const auto wide = MinHashFamily::Create(4, uint64_t{1} << 33, 1);
+  ASSERT_GE(wide.prime(), kSlotLimit);
+  EXPECT_TRUE(SigGenIF(f.data, f.skyline, wide).status().IsInvalidArgument());
+  EXPECT_TRUE(SigGenIF(f.data, f.skyline, wide, DomKernel::kSimd)
+                  .status()
+                  .IsInvalidArgument());
+  auto tree = RTree::BulkLoad(f.data);
+  ASSERT_TRUE(tree.ok());
+  EXPECT_TRUE(SigGenIB(f.data, f.skyline, wide, *tree).status().IsInvalidArgument());
+  ThreadPool pool(2);
+  EXPECT_TRUE(
+      ParallelSigGenIF(f.data, f.skyline, wide, pool).status().IsInvalidArgument());
+  EXPECT_TRUE(ParallelSigGenIB(f.data, f.skyline, wide, *tree, pool)
+                  .status()
+                  .IsInvalidArgument());
+  StreamingSkyDiver stream(3, 4, 1, /*max_points=*/uint64_t{1} << 33);
+  EXPECT_TRUE(stream.Insert({1.0, 2.0, 3.0}).IsInvalidArgument());
+  EXPECT_EQ(stream.data().size(), 0u);
+  // The same family shape below the limit is accepted.
+  const auto narrow = MinHashFamily::Create(4, f.data.size(), 1);
+  EXPECT_TRUE(SigGenIF(f.data, f.skyline, narrow).ok());
 }
 
 TEST(SigGenTest, IfDominationScoresAreExact) {

@@ -190,9 +190,10 @@ TEST(LshPropertyTest, EmpiricalCollisionRateTracksFormula) {
     for (int trial = 0; trial < trials; ++trial) {
       SignatureMatrix sig(t, 2);
       for (size_t i = 0; i < t; ++i) {
-        const uint64_t v = rng.Next() >> 16;
+        // Slot values are hash values: below 2^32 (minhash.h kSlotLimit).
+        const uint64_t v = rng.Next() >> 32;
         sig.UpdateMin(0, i, v);
-        sig.UpdateMin(1, i, rng.NextDouble() < s ? v : (rng.Next() >> 16));
+        sig.UpdateMin(1, i, rng.NextDouble() < s ? v : (rng.Next() >> 32));
       }
       auto index = LshIndex::Build(sig, params, rng.Next());
       ASSERT_TRUE(index.ok());

@@ -8,6 +8,7 @@
 #include <set>
 #include <string>
 
+#include "common/binio.h"
 #include "datagen/generators.h"
 #include "rtree/rtree.h"
 #include "skydiver/advisor.h"
@@ -86,6 +87,37 @@ TEST(SessionTest, SaveLoadRoundTripSelectsIdentically) {
   EXPECT_EQ(loaded->SelectMinHash(8).value(), session->SelectMinHash(8).value());
   EXPECT_EQ(loaded->SelectLsh(8, 0.2, 20).value(),
             session->SelectLsh(8, 0.2, 20).value());
+  std::remove(path.c_str());
+}
+
+TEST(SessionTest, LoadRejectsSignatureSlotsWiderThan32Bits) {
+  // A session file with a valid checksum whose last signature slot is
+  // neither empty nor below 2^32: an IoError, never a silent truncation.
+  const std::string path = testing::TempDir() + "/session_wide_slot.skyd";
+  const char magic[8] = {'S', 'K', 'Y', 'D', 'S', 'E', 'S', '1'};
+  for (const uint64_t last : {uint64_t{9}, kSlotLimit}) {
+    BinaryWriter writer(path, magic);
+    ASSERT_TRUE(writer.ok());
+    writer.WriteU64(/*seed=*/1);
+    writer.WriteU64(/*m=*/2);
+    writer.WriteU32(0);
+    writer.WriteU32(1);
+    writer.WriteU64(/*score=*/3);
+    writer.WriteU64(/*score=*/4);
+    writer.WriteU64(/*t=*/2);
+    for (const uint64_t v : {uint64_t{5}, kEmptySlot, uint64_t{7}, last}) writer.WriteU64(v);
+    ASSERT_TRUE(writer.Finish().ok());
+    const auto loaded = SkyDiverSession::LoadFromFile(path);
+    if (last < kSlotLimit) {
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      const SignatureMatrix& sig = loaded->snapshot()->signatures();
+      EXPECT_EQ(sig.at(0, 0), 5u);
+      EXPECT_EQ(sig.at(0, 1), kEmptySlot);
+      EXPECT_EQ(sig.at(1, 1), last);
+    } else {
+      EXPECT_TRUE(loaded.status().IsIoError()) << loaded.status().ToString();
+    }
+  }
   std::remove(path.c_str());
 }
 

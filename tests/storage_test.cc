@@ -5,7 +5,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "common/binio.h"
 #include "core/dataset_io.h"
@@ -228,6 +230,50 @@ TEST(SignatureIoTest, RoundTripPreservesEstimates) {
   // Phase 2 can re-run from the reloaded fingerprints.
   EXPECT_DOUBLE_EQ(loaded->EstimatedDistance(0, skyline.size() - 1),
                    sig.signatures.EstimatedDistance(0, skyline.size() - 1));
+  std::remove(path.c_str());
+}
+
+// Writes a SKYDSIG1 file slot by slot through BinaryWriter (valid
+// checksum), the way any writer of the 64-bit on-disk format would.
+void WriteSignatureFile(const std::string& path, uint64_t t, uint64_t m,
+                        const std::vector<uint64_t>& slots) {
+  const char magic[8] = {'S', 'K', 'Y', 'D', 'S', 'I', 'G', '1'};
+  BinaryWriter writer(path, magic);
+  ASSERT_TRUE(writer.ok());
+  writer.WriteU64(t);
+  writer.WriteU64(m);
+  for (uint64_t v : slots) writer.WriteU64(v);
+  ASSERT_TRUE(writer.Finish().ok());
+}
+
+TEST(SignatureIoTest, SixtyFourBitSlotFilesLoadUnchanged) {
+  // The on-disk slots stay 64-bit: empty slots and every value below 2^32
+  // read back exactly as written, and save back to the same bytes.
+  const std::string path = TempPath("signatures_wide_format.skyd");
+  const std::vector<uint64_t> slots = {0, kEmptySlot, 4294967290ULL, 17, kEmptySlot, 1};
+  WriteSignatureFile(path, 3, 2, slots);
+  auto loaded = SignatureMatrix::LoadFromFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  for (size_t j = 0; j < 2; ++j) {
+    for (size_t i = 0; i < 3; ++i) EXPECT_EQ(loaded->at(j, i), slots[j * 3 + i]);
+  }
+  const std::string copy = TempPath("signatures_wide_format_copy.skyd");
+  ASSERT_TRUE(loaded->SaveToFile(copy).ok());
+  std::ifstream a(path, std::ios::binary), b(copy, std::ios::binary);
+  const std::string bytes_a((std::istreambuf_iterator<char>(a)), {});
+  const std::string bytes_b((std::istreambuf_iterator<char>(b)), {});
+  EXPECT_EQ(bytes_a, bytes_b);
+  std::remove(path.c_str());
+  std::remove(copy.c_str());
+}
+
+TEST(SignatureIoTest, RejectsSlotsWiderThan32Bits) {
+  const std::string path = TempPath("signatures_wide_slot.skyd");
+  for (const uint64_t bad : {kSlotLimit, kSlotLimit + 5, kEmptySlot - 1}) {
+    WriteSignatureFile(path, 2, 1, {3, bad});
+    const auto loaded = SignatureMatrix::LoadFromFile(path);
+    EXPECT_TRUE(loaded.status().IsIoError()) << bad << ": " << loaded.status().ToString();
+  }
   std::remove(path.c_str());
 }
 

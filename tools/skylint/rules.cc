@@ -466,7 +466,11 @@ void CheckIncludeHygiene(const SourceFile& file, const LintContext& context,
         first_include = m[1].str();
         first_line = i + 1;
       } else if (std::regex_search(file.raw[i], m, kSystemIncludeRe)) {
-        first_include = "<" + m[1].str() + ">";
+        // Built in place: GCC 12 at -O3 misreads `"<" + str + ">"` as an
+        // overlapping copy (-Wrestrict).
+        first_include = m[1].str();
+        first_include.insert(first_include.begin(), '<');
+        first_include.push_back('>');
         first_line = i + 1;
       }
     }
