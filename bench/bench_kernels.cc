@@ -51,9 +51,9 @@
 
 #include "bench/harness.h"
 #include "common/cpu.h"
+#include "common/rng.h"
 #include "common/timer.h"
 #include "core/dominance.h"
-#include "common/rng.h"
 #include "kernels/min_fold.h"
 #include "kernels/simd_backend.h"
 #include "kernels/tile_view.h"
@@ -402,15 +402,7 @@ int Run(int argc, char** argv) {
   fold_table.Row({"scalar64", TablePrinter::Int(fold_updates), TablePrinter::Secs(scalar64_s),
                   TablePrinter::Num(scalar64_s * 1e9 / static_cast<double>(slot_updates), 3),
                   TablePrinter::Num(1.0, 2)});
-  std::vector<const kernel_internal::SimdBackend*> fold_backends{
-      kernel_internal::PortableBackend()};
-  if (ProbeSimdIsa() == SimdIsa::kAvx2 && kernel_internal::Avx2Backend() != nullptr) {
-    fold_backends.push_back(kernel_internal::Avx2Backend());
-  }
-  if (ProbeSimdIsa() == SimdIsa::kNeon && kernel_internal::NeonBackend() != nullptr) {
-    fold_backends.push_back(kernel_internal::NeonBackend());
-  }
-  for (const kernel_internal::SimdBackend* backend : fold_backends) {
+  for (const kernel_internal::SimdBackend* backend : kernel_internal::RunnableBackends()) {
     uint64_t digest = 0;
     const double secs = BestOf([&] {
       digest = RunFold(fold, kEmptySlot32, [&](uint32_t* col, const uint32_t* h) {

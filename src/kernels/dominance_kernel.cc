@@ -449,6 +449,17 @@ const SimdBackend& ResolvedBackend() {
   return *backend;
 }
 
+std::vector<const SimdBackend*> RunnableBackends() {
+  std::vector<const SimdBackend*> out{PortableBackend()};
+  if (ProbeSimdIsa() == SimdIsa::kAvx2 && Avx2Backend() != nullptr) {
+    out.push_back(Avx2Backend());
+  }
+  if (ProbeSimdIsa() == SimdIsa::kNeon && NeonBackend() != nullptr) {
+    out.push_back(NeonBackend());
+  }
+  return out;
+}
+
 }  // namespace kernel_internal
 
 // kernels/min_fold.h's entry point, beside the resolver it dispatches on.

@@ -41,6 +41,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "core/types.h"
 #include "kernels/tile_view.h"
@@ -92,5 +93,10 @@ const SimdBackend* NeonBackend();
 /// The backend the cached CPU probe (common/cpu.h) selects, resolved once
 /// per process: AVX2 or NEON when probed and compiled in, else portable.
 const SimdBackend& ResolvedBackend();
+
+/// Every backend compiled in whose ISA the host has, portable first. Uses
+/// the raw probe, so a forced override hides none of them from the
+/// differential tests and micro-benchmarks that compare backends.
+std::vector<const SimdBackend*> RunnableBackends();
 
 }  // namespace skydiver::kernel_internal

@@ -46,11 +46,11 @@ Status SignatureMatrix::ReadSlots(BinaryReader& reader, const std::string& path)
     if (!reader.ReadU64(&v)) {
       return Status::IoError("'" + path + "': truncated signature payload");
     }
-    if (v != kEmptySlot && v >= kSlotLimit) {
+    if (!IsSlotValue(v)) {
       return Status::IoError("'" + path + "': signature slot " + std::to_string(v) +
-                             " is neither empty nor below 2^32");
+                             " is neither empty nor a 32-bit hash value");
     }
-    slot = v == kEmptySlot ? kEmptySlot32 : static_cast<uint32_t>(v);
+    slot = NarrowSlot(v);
   }
   return Status::OK();
 }

@@ -40,6 +40,16 @@ inline uint64_t WidenSlot(uint32_t v) {
   return v == kEmptySlot32 ? kEmptySlot : uint64_t{v};
 }
 
+/// True for the 64-bit values a slot can hold: kEmptySlot or a hash value
+/// (below the prime, so below kEmptySlot32). Exactly these survive
+/// NarrowSlot -> WidenSlot unchanged.
+inline bool IsSlotValue(uint64_t v) { return v < kEmptySlot32 || v == kEmptySlot; }
+
+/// 64-bit slot value (IsSlotValue) -> its 32-bit stored form.
+inline uint32_t NarrowSlot(uint64_t v) {
+  return v == kEmptySlot ? kEmptySlot32 : static_cast<uint32_t>(v);
+}
+
 /// Fraction of agreeing slots between two raw signature columns of equal
 /// length — the MinHash similarity estimate. Shared by SignatureMatrix and
 /// by callers holding signatures outside a matrix (e.g. the streaming
@@ -123,10 +133,10 @@ class SignatureMatrix {
 
   /// slot := min(slot, value) — the MinHash update, one slot at a time
   /// (the reference the batched folds below are tested against). `value`
-  /// is a hash value below kSlotLimit or kEmptySlot.
+  /// passes IsSlotValue.
   void UpdateMin(size_t column, size_t slot, uint64_t value) {
-    SKYDIVER_DCHECK(value < kSlotLimit || value == kEmptySlot);
-    const uint32_t v = value == kEmptySlot ? kEmptySlot32 : static_cast<uint32_t>(value);
+    SKYDIVER_DCHECK(IsSlotValue(value));
+    const uint32_t v = NarrowSlot(value);
     uint32_t& cell = slots_[column * t_ + slot];
     if (v < cell) cell = v;
   }
@@ -165,9 +175,9 @@ class SignatureMatrix {
   void WriteSlots(BinaryWriter& writer) const;
 
   /// Reads t·m slots written by WriteSlots. IoError (naming `path`) on a
-  /// truncated payload or a stored slot that is neither kEmptySlot nor
-  /// below kSlotLimit — such a value cannot come from a valid family and
-  /// would not survive the 32-bit narrowing.
+  /// truncated payload or a stored slot failing IsSlotValue — such a
+  /// value cannot come from a valid family and would not survive the
+  /// 32-bit narrowing.
   Status ReadSlots(BinaryReader& reader, const std::string& path);
 
  private:

@@ -327,20 +327,6 @@ TEST(DominanceKernelTest, FlavoursProduceIdenticalMasks) {
   }
 }
 
-// The simd backends compiled into this build whose ISA the host has (the
-// raw probe, so a forced override does not hide a backend from the
-// differential tests below). Portable is always present.
-std::vector<const kernel_internal::SimdBackend*> RunnableBackends() {
-  std::vector<const kernel_internal::SimdBackend*> out{kernel_internal::PortableBackend()};
-  if (ProbeSimdIsa() == SimdIsa::kAvx2 && kernel_internal::Avx2Backend() != nullptr) {
-    out.push_back(kernel_internal::Avx2Backend());
-  }
-  if (ProbeSimdIsa() == SimdIsa::kNeon && kernel_internal::NeonBackend() != nullptr) {
-    out.push_back(kernel_internal::NeonBackend());
-  }
-  return out;
-}
-
 // The fused FilterDominators of every runnable backend against the scalar
 // reference: the specialised (d = 2..8) and generic (d = 1, 9..12) paths,
 // every tile occupancy 1..64, ties, duplicates of the probe, and +-max.
@@ -351,7 +337,7 @@ TEST(DominanceKernelTest, FusedDominatorsMatchScalarOnEveryBackend) {
   Rng rng(20261020);
   const DominanceKernel scalar(DomKernel::kScalar);
   const DominanceKernel simd(DomKernel::kSimd);
-  const auto backends = RunnableBackends();
+  const auto backends = kernel_internal::RunnableBackends();
 
   for (Dim dims = 1; dims <= 12; ++dims) {
     std::vector<Coord> probe(dims);
@@ -394,7 +380,7 @@ TEST(DominanceKernelTest, FusedDominatorsMatchScalarOnEveryBackend) {
 
 TEST(MinFoldTest, BackendsMatchScalarUpdateMin) {
   Rng rng(91);
-  const auto backends = RunnableBackends();
+  const auto backends = kernel_internal::RunnableBackends();
   for (const size_t t : {size_t{1}, size_t{7}, size_t{8}, size_t{9}, size_t{100},
                          size_t{257}}) {
     for (size_t offset = 0; offset < 4; ++offset) {

@@ -269,7 +269,9 @@ TEST(SignatureIoTest, SixtyFourBitSlotFilesLoadUnchanged) {
 
 TEST(SignatureIoTest, RejectsSlotsWiderThan32Bits) {
   const std::string path = TempPath("signatures_wide_slot.skyd");
-  for (const uint64_t bad : {kSlotLimit, kSlotLimit + 5, kEmptySlot - 1}) {
+  // 2^32 - 1 is below 2^32 but is the stored empty marker, never a hash.
+  for (const uint64_t bad : {uint64_t{kEmptySlot32}, kSlotLimit, kSlotLimit + 5,
+                             kEmptySlot - 1}) {
     WriteSignatureFile(path, 2, 1, {3, bad});
     const auto loaded = SignatureMatrix::LoadFromFile(path);
     EXPECT_TRUE(loaded.status().IsIoError()) << bad << ": " << loaded.status().ToString();
